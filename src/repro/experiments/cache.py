@@ -49,7 +49,9 @@ from ..obs import get_tracer
 # PipelineResults.
 # "4": TableSpec/PipelineConfig carry the TableStats sample budget and
 # TableStats itself grew the ``sample_budget`` field.
-CODE_VERSION = "4"
+# "5": SegmentProfile (inside pickled PipelineResults) keeps a key-id
+# trace for Table 5 instead of four live LRU buffers.
+CODE_VERSION = "5"
 
 _ENV_VAR = "REPRO_CACHE_DIR"
 _DEFAULT_ROOT = ".repro_cache"

@@ -18,6 +18,11 @@ from typing import Iterator, Optional
 from .types import Type
 
 
+# node class -> its dataclass field names (children() runs on every
+# node of every walk; dataclasses.fields() rebuilds the list each call)
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+
+
 class Node:
     """Base class of all AST nodes."""
 
@@ -25,8 +30,12 @@ class Node:
 
     def children(self) -> Iterator["Node"]:
         """Yield direct child nodes (used by generic walkers)."""
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
+        names = _FIELD_NAMES.get(type(self))
+        if names is None:
+            names = tuple(f.name for f in dataclasses.fields(self))
+            _FIELD_NAMES[type(self)] = names
+        for name in names:
+            value = getattr(self, name)
             if isinstance(value, Node):
                 yield value
             elif isinstance(value, list):

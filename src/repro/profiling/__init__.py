@@ -1,11 +1,9 @@
-"""Profiling: execution frequency and value-set profilers."""
+"""Profiling: the value-set profiler (execution counts, input sets,
+granularity)."""
 
-from .freq import frequency_report, frequent_segments
 from .valueset import LRU_SIZES, SegmentProfile, ValueSetProfiler
 
 __all__ = [
-    "frequency_report",
-    "frequent_segments",
     "LRU_SIZES",
     "SegmentProfile",
     "ValueSetProfiler",

@@ -10,23 +10,25 @@ For each segment the profiler tracks:
 * ``N`` — executions, ``N_ds`` — distinct input sets; the reuse rate is
   ``R = 1 - N_ds / N``;
 * a full histogram of input sets (figures 5, 6, 11, 12, 13 of the paper);
-* hit ratios of small LRU buffers (1/4/16/64 entries) fed online with the
-  same key stream — the hardware-buffer comparison of Table 5;
+* hit ratios of small LRU buffers (1/4/16/64 entries) fed with the same
+  key stream — the hardware-buffer comparison of Table 5;
 * inclusive cycles spent inside the segment (between ``__seg_enter`` and
   ``__seg_exit``), giving the *measured* computation granularity C.
 
-Two modes: ``"freq"`` only counts executions (the cheap first profiling
-pass used to filter infrequent segments); ``"value"`` records everything,
-optionally restricted to an allow-list of surviving segment ids.
+One profiling run records every instrumented segment; the pipeline
+applies the execution-frequency cut to the run's counts afterwards.
+Only Table 5 reads the LRU hit ratios, so a record appends just a small
+key id to the segment's trace, and the buffers are simulated from that
+trace on first use.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..runtime.hashtable import LRUBuffer
 from ..runtime.machine import Machine
 
 LRU_SIZES = (1, 4, 16, 64)
@@ -37,11 +39,14 @@ class SegmentProfile:
     seg_id: int
     executions: int = 0
     value_counts: Counter = field(default_factory=Counter)
-    lru: dict[int, LRUBuffer] = field(
-        default_factory=lambda: {size: LRUBuffer(size) for size in LRU_SIZES}
-    )
     inclusive_cycles: int = 0
     _enter_stack: list[int] = field(default_factory=list)
+    # key -> dense id, and the id of every recorded key in order: the
+    # access stream the Table 5 buffers are simulated over
+    _key_ids: dict = field(default_factory=dict)
+    _trace: array = field(default_factory=lambda: array("I"))
+    # (trace length, {size: hits}) of the last LRU simulation
+    _lru_cache: Optional[tuple] = None
 
     @property
     def distinct_inputs(self) -> int:
@@ -62,7 +67,12 @@ class SegmentProfile:
         return self.inclusive_cycles / self.executions
 
     def lru_hit_ratio(self, size: int) -> float:
-        return self.lru[size].hit_ratio
+        """Hit ratio of a ``size``-entry LRU buffer (one of
+        :data:`LRU_SIZES`) fed the segment's key stream."""
+        accesses = len(self._trace)
+        if self._lru_cache is None or self._lru_cache[0] != accesses:
+            self._lru_cache = (accesses, _lru_hits(self._trace))
+        return self._lru_cache[1][size] / accesses if accesses else 0.0
 
     def histogram(self) -> list[tuple[tuple, int]]:
         """(input set, count) pairs, most frequent first."""
@@ -74,61 +84,56 @@ class SegmentProfile:
         return 0
 
 
+def _lru_hits(trace) -> dict[int, int]:
+    """Hits of an LRU buffer of each of :data:`LRU_SIZES` over one
+    access stream.
+
+    LRU is a stack algorithm: an access hits a buffer of ``size`` entries
+    exactly when fewer than ``size`` distinct keys were used since the
+    key's previous access.  One pass over a most-recent-first stack,
+    cut at the largest size, therefore serves every size at once.
+    """
+    depth = LRU_SIZES[-1]
+    at_distance = [0] * depth
+    stack: list[int] = []
+    for key_id in trace:
+        if key_id in stack:
+            distance = stack.index(key_id)
+            at_distance[distance] += 1
+            del stack[distance]
+        elif len(stack) == depth:
+            stack.pop()
+        stack.insert(0, key_id)
+    return {size: sum(at_distance[:size]) for size in LRU_SIZES}
+
+
 class ValueSetProfiler:
     """The object installed as ``machine.profiler`` during profiling runs."""
 
-    def __init__(
-        self,
-        machine: Machine,
-        mode: str = "value",
-        allowed: Optional[set[int]] = None,
-        record_lru: bool = True,
-    ) -> None:
-        if mode not in ("freq", "value"):
-            raise ValueError("mode must be 'freq' or 'value'")
+    def __init__(self, machine: Machine) -> None:
         self.machine = machine
-        self.mode = mode
-        self.allowed = allowed
-        self.record_lru = record_lru
         self.profiles: dict[int, SegmentProfile] = {}
 
     def _profile(self, seg_id: int) -> SegmentProfile:
         profile = self.profiles.get(seg_id)
         if profile is None:
-            profile = SegmentProfile(seg_id)
-            self.profiles[seg_id] = profile
+            profile = self.profiles[seg_id] = SegmentProfile(seg_id)
         return profile
-
-    def _enabled(self, seg_id: int) -> bool:
-        return self.allowed is None or seg_id in self.allowed
 
     # -- hooks called by the runtime intrinsics -----------------------------
 
     def record(self, seg_id: int, key: tuple) -> None:
         """__profile: one segment execution with its input value set."""
-        if not self._enabled(seg_id):
-            return
         profile = self._profile(seg_id)
         profile.executions += 1
-        if self.mode == "value":
-            profile.value_counts[key] += 1
-            if self.record_lru:
-                for buffer in profile.lru.values():
-                    buffer.access(key)
-
-    def count_entry(self, seg_id: int) -> None:
-        """__freq: count-only entry event."""
-        if self._enabled(seg_id):
-            self._profile(seg_id).executions += 1
+        profile.value_counts[key] += 1
+        key_ids = profile._key_ids
+        profile._trace.append(key_ids.setdefault(key, len(key_ids)))
 
     def segment_enter(self, seg_id: int) -> None:
-        if not self._enabled(seg_id):
-            return
         self._profile(seg_id)._enter_stack.append(self.machine.cycles)
 
     def segment_exit(self, seg_id: int) -> None:
-        if not self._enabled(seg_id):
-            return
         profile = self._profile(seg_id)
         if profile._enter_stack:
             start = profile._enter_stack.pop()
@@ -140,7 +145,5 @@ class ValueSetProfiler:
     # -- results -----------------------------------------------------------------
 
     def profile(self, seg_id: int) -> SegmentProfile:
-        return self._profile(seg_id)
-
-    def execution_counts(self) -> dict[int, int]:
-        return {seg: p.executions for seg, p in self.profiles.items()}
+        """The segment's profile (an empty one if it never ran)."""
+        return self.profiles.get(seg_id) or SegmentProfile(seg_id)

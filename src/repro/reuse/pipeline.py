@@ -10,10 +10,10 @@ Steps, in order:
 5. *specialization*: function segments that fail the pre-filter but have
    call-site-invariant arguments get specialized clones, and the analysis
    round restarts once;
-6. execution-frequency profiling (count-only run) filters infrequent
+6. one value-set profiling run measures every candidate's N, N_ds, the
+   reuse rate R, and the per-execution granularity C;
+7. the execution-frequency cut on those counts drops infrequent
    segments;
-7. value-set profiling of the survivors measures N, N_ds, the reuse rate
-   R, and the per-execution granularity C;
 8. the cost-benefit test ``R*C - O > 0`` (formula 3) keeps profitable
    segments;
 9. the nesting graph picks at most one segment per nest (formula 4);
@@ -271,26 +271,29 @@ class ReusePipeline:
         return analyze(parse_program(self.source))
 
     def _profiling_run(
-        self,
-        program: ast.Program,
-        inputs: Sequence,
-        mode: str,
-        allowed: Optional[set[int]],
+        self, program: ast.Program, inputs: Sequence, backend: str = "vm"
     ) -> ValueSetProfiler:
-        machine = Machine(self.config.opt_level)
+        """One instrumented execution recording every candidate.
+
+        It runs on the VM backend whatever backend the program will run
+        on: the stubs are zero-cost and both backends charge bit-identical
+        cycles, so the profile is the same, only cheaper to take.
+        """
+        machine = Machine(self.config.opt_level, backend=backend)
         machine.set_inputs(list(inputs))
-        profiler = ValueSetProfiler(machine, mode=mode, allowed=allowed)
+        profiler = ValueSetProfiler(machine)
         machine.profiler = profiler
         compiled = compile_program(program, machine)
         with get_tracer().span(
-            f"profile.{mode}",
-            category="profiling",
-            machine=machine,
-            allowed=len(allowed) if allowed is not None else -1,
+            "profile.value", category="profiling", machine=machine
         ) as span:
             compiled.run(self.config.entry)
             if span is not None:
                 span.args["segments_seen"] = len(profiler.profiles)
+        # the profiles outlive the run; the machine's compiled code and
+        # the profiler <-> machine cycle need not wait for the collector
+        machine.profiler = None
+        profiler.machine = None
         return profiler
 
     # -- the pipeline ----------------------------------------------------------
@@ -393,17 +396,18 @@ class ReusePipeline:
             if span is not None:
                 span.args["candidates"] = len(candidates)
 
-        # Frequency profiling -----------------------------------------------------
+        # Value-set profiling, then the frequency cut on its counts ----------------
         instrument_program(candidates, program)
-        freq = self._profiling_run(program, inputs, mode="freq", allowed=None)
+        profiler = self._profiling_run(program, inputs)
+        strip_instrumentation(program)
         frequent_ids = {
             seg_id
-            for seg_id, profile in freq.profiles.items()
+            for seg_id, profile in profiler.profiles.items()
             if profile.executions >= config.min_executions
         }
         for segment in candidates:
-            freq_profile = freq.profiles.get(segment.seg_id)
-            executions = freq_profile.executions if freq_profile is not None else 0
+            seen = profiler.profiles.get(segment.seg_id)
+            executions = seen.executions if seen is not None else 0
             ledger.record(
                 segment.seg_id,
                 "frequency",
@@ -414,14 +418,9 @@ class ReusePipeline:
             )
         profiled = [s for s in candidates if s.seg_id in frequent_ids]
 
-        # Value-set profiling -------------------------------------------------------
-        profiler = self._profiling_run(
-            program, inputs, mode="value", allowed=frequent_ids
-        )
-        strip_instrumentation(program)
         profiles: dict[int, SegmentProfile] = {}
         for segment in profiled:
-            profile = profiler.profile(segment.seg_id)
+            profile = profiler.profiles[segment.seg_id]
             profiles[segment.seg_id] = profile
             segment.executions = profile.executions
             segment.distinct_inputs = profile.distinct_inputs
@@ -577,6 +576,9 @@ def _collision_adjusted_rate(profile: SegmentProfile, capacity: int) -> float:
     dominant key of each entry keeps its record, so the deliverable hits
     are at most sum(dominant_count - 1) over occupied entries.  With no
     collisions this equals N - N_ds, i.e. the raw reuse rate.
+
+    A key seen once adds no hit whether it keeps its entry or loses it,
+    so only repeated keys are hashed.
     """
     if profile.executions == 0:
         return 0.0
@@ -585,6 +587,8 @@ def _collision_adjusted_rate(profile: SegmentProfile, capacity: int) -> float:
     mask = _pow2(max(1, capacity)) - 1
     dominant: dict[int, int] = {}
     for key, count in profile.value_counts.items():
+        if count < 2:
+            continue
         entry = hash_key_words(key) & mask
         if count > dominant.get(entry, 0):
             dominant[entry] = count

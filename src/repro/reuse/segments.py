@@ -240,7 +240,7 @@ def _analyze_segment(segment: Segment, analysis: ProgramAnalysis) -> None:
         segment.reject_reason = "break/continue/return escapes the region"
         return
     called = _calls_in(segment.region_root)
-    for name in called:
+    for name in sorted(called):
         if name in _IO_BUILTINS:
             segment.feasible = False
             segment.reject_reason = f"performs I/O ({name})"

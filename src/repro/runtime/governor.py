@@ -414,7 +414,7 @@ class GovernedReuseTable(ReuseTable):
         return hit
 
     def commit(self, outputs: tuple) -> None:
-        pending = self._pending[-1]
+        pending = self._in_flight.stack[-1]
         evicted = False
         if pending is not _BYPASSED:
             _, index = pending
@@ -438,9 +438,11 @@ class GovernedReuseTable(ReuseTable):
             self._flush_requested = True
 
     def _apply_resize_if_idle(self) -> None:
-        # Rehash/flush only with no in-flight probes: pending entries hold
-        # indexes whose records a hit path may still read.
-        if self._pending:
+        # Rehash/flush only with none of this thread's probes in flight: a
+        # miss record holds the index its commit will write.  (Another
+        # thread's stale index at worst misplaces one entry, which later
+        # probes then miss; hit records carry their outputs.)
+        if self._in_flight.stack:
             return
         if self._resize_target is not None:
             old_capacity, target = self.capacity, self._resize_target
@@ -515,18 +517,18 @@ class GovernedMergedReuseTable(MergedReuseTable):
     def view(self, segment_id: str) -> "GovernedTableView":
         return GovernedTableView(self, self._member_index[segment_id])
 
-    # -- bypass plumbing (sentinel on the shared pending stack) -------------
+    # -- bypass plumbing (sentinel on the thread's in-flight stack) ---------
 
     def push_bypass(self) -> None:
-        self._pending.append(_BYPASSED)
+        self._in_flight.stack.append(_BYPASSED)
 
     def pending_bypassed(self) -> bool:
-        return bool(self._pending) and self._pending[-1] is _BYPASSED
+        return bool(self._in_flight.stack) and self._in_flight.stack[-1] is _BYPASSED
 
     def _commit(self, outputs: tuple) -> None:
-        pending = self._pending[-1]
+        pending = self._in_flight.stack[-1]
         if pending is _BYPASSED:
-            self._pending.pop()
+            self._in_flight.stack.pop()
             self._apply_resize_if_idle()
             return
         key, index, member = pending
@@ -558,7 +560,7 @@ class GovernedMergedReuseTable(MergedReuseTable):
             self._flush_requestor = governor
 
     def _apply_resize_if_idle(self) -> None:
-        if self._pending:
+        if self._in_flight.stack:
             return
         if self._resize_target is not None:
             old_capacity, target = self.capacity, self._resize_target

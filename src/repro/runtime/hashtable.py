@@ -27,6 +27,7 @@ are charged by the interpreter intrinsics, not here.
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional
@@ -39,6 +40,24 @@ _WORD_BYTES = 4
 
 # Sentinel on the pending stack for probes skipped by adaptive bypass.
 _BYPASSED = object()
+
+
+class _InFlight(threading.local):
+    """Each thread's LIFO of in-flight probes on one table (a stack,
+    because a segment may probe again, recursively, before the enclosing
+    execution commits).
+
+    The service shares a program's tables across its executor threads;
+    a probe's pending record belongs to the thread that made it, so one
+    thread's ``output``/``commit`` never reads or pops another's.  A hit
+    record carries the outputs it found — ``(key, index, outputs)``, or
+    ``(key, index, member, outputs)`` on a merged table; a miss record
+    omits them — so a later commit by another thread to the same entry
+    cannot change what the hit returns.
+    """
+
+    def __init__(self) -> None:
+        self.stack: list = []
 
 
 def pow2_ceil(n: int) -> int:
@@ -157,10 +176,7 @@ class ReuseTable:
         self._outputs: list[Optional[tuple]] = [None] * self.capacity
         self.stats = TableStats(sample_budget=sample_budget)
         self._occupied = 0
-        # LIFO of (key, index) for in-flight probes; supports recursive
-        # segment execution (a probe may occur before the enclosing
-        # execution commits).
-        self._pending: list[tuple[tuple, int]] = []
+        self._in_flight = _InFlight()
 
     # -- the runtime interface (called by interpreter intrinsics) ---------
 
@@ -170,32 +186,32 @@ class ReuseTable:
         (hit path) is called."""
         index = hash_key_words(key) & self._mask
         stored = self._keys[index]
-        self._pending.append((key, index))
         if stored == key:
+            self._in_flight.stack.append((key, index, self._outputs[index]))
             self.stats.record_probe(True)
             return True
+        self._in_flight.stack.append((key, index))
         self.stats.record_probe(False, collision=stored is not None)
         return False
 
     def output(self, position: int):
         """Read one output value of the entry hit by the pending probe."""
-        _, index = self._pending[-1]
-        outputs = self._outputs[index]
-        assert outputs is not None, "output() without a hit"
-        return outputs[position]
+        pending = self._in_flight.stack[-1]
+        assert len(pending) == 3 and pending[2] is not None, "output() without a hit"
+        return pending[2][position]
 
     def finish(self) -> None:
         """Close the pending probe on the hit path."""
-        self._pending.pop()
+        self._in_flight.stack.pop()
 
     def push_bypass(self) -> None:
         """Mark the next commit as a no-op (adaptive deactivation skipped
         the probe, so there is no pending key to record)."""
-        self._pending.append(_BYPASSED)
+        self._in_flight.stack.append(_BYPASSED)
 
     def pending_bypassed(self) -> bool:
         """Is the innermost in-flight probe a bypassed one?"""
-        return bool(self._pending) and self._pending[-1] is _BYPASSED
+        return bool(self._in_flight.stack) and self._in_flight.stack[-1] is _BYPASSED
 
     def commit(self, outputs: tuple) -> None:
         """Record outputs for the pending probe's key (miss path).
@@ -203,10 +219,11 @@ class ReuseTable:
         On a collision the previously recorded entry is replaced, exactly
         as in section 3.1 of the paper.
         """
-        pending = self._pending.pop()
+        pending = self._in_flight.stack.pop()
         if pending is _BYPASSED:
             return
         key, index = pending
+        record = tuple(deep_copy_value(v) for v in outputs)
         stored = self._keys[index]
         if stored is None:
             self._occupied += 1
@@ -214,7 +231,7 @@ class ReuseTable:
         elif stored != key:
             self.stats.evictions += 1
         self._keys[index] = key
-        self._outputs[index] = tuple(deep_copy_value(v) for v in outputs)
+        self._outputs[index] = record
 
     # -- inspection ---------------------------------------------------------
 
@@ -233,7 +250,7 @@ class ReuseTable:
     def clear(self) -> None:
         self._keys = [None] * self.capacity
         self._outputs = [None] * self.capacity
-        self._pending.clear()
+        self._in_flight.stack.clear()
         self._occupied = 0
         self.stats = TableStats(sample_budget=self.stats.sample_budget)
 
@@ -275,7 +292,7 @@ class MergedReuseTable:
             seg: TableStats(sample_budget=sample_budget) for seg in self.members
         }
         self._occupied = 0
-        self._pending: list[tuple[tuple, int, int]] = []  # (key, index, member)
+        self._in_flight = _InFlight()
 
     def view(self, segment_id: str) -> "MergedTableView":
         """The per-segment facade the interpreter binds to a segment id."""
@@ -286,27 +303,28 @@ class MergedReuseTable:
     def _probe(self, member: int, key: tuple) -> bool:
         index = hash_key_words(key) & self._mask
         stats = self.stats_per_member[self.members[member]]
-        self._pending.append((key, index, member))
         stored = self._keys[index]
         if stored == key and self._bits[index] & (1 << member):
+            self._in_flight.stack.append((key, index, member, self._outputs[index][member]))
             stats.record_probe(True)
             return True
+        self._in_flight.stack.append((key, index, member))
         # a matching key whose validity bit is unset is an *empty* miss —
         # the member's output slot holds nothing usable for this key
         stats.record_probe(False, collision=stored is not None and stored != key)
         return False
 
     def _output(self, position: int):
-        _, index, member = self._pending[-1]
-        outputs = self._outputs[index][member]
-        assert outputs is not None
-        return outputs[position]
+        pending = self._in_flight.stack[-1]
+        assert len(pending) == 4 and pending[3] is not None, "output() without a hit"
+        return pending[3][position]
 
     def _finish(self) -> None:
-        self._pending.pop()
+        self._in_flight.stack.pop()
 
     def _commit(self, outputs: tuple) -> None:
-        key, index, member = self._pending.pop()
+        key, index, member = self._in_flight.stack.pop()
+        record = tuple(deep_copy_value(v) for v in outputs)
         stats = self.stats_per_member[self.members[member]]
         stored = self._keys[index]
         if stored != key:
@@ -323,7 +341,7 @@ class MergedReuseTable:
             self._outputs[index] = [None] * len(self.members)
         stats.note_occupancy(self._occupied)
         self._bits[index] |= 1 << member
-        self._outputs[index][member] = tuple(deep_copy_value(v) for v in outputs)
+        self._outputs[index][member] = record
 
     # -- inspection -----------------------------------------------------------
 

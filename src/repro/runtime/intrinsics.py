@@ -13,6 +13,7 @@ same number of extra operations, as the paper notes.
 from __future__ import annotations
 
 import math
+import struct
 
 from ..errors import InterpError
 from ..minic import astnodes as ast
@@ -40,13 +41,18 @@ def _value_kind(fc, expr: ast.Expr) -> int:
     return _KIND_INT
 
 
-def _append_words(words: list[int], value, kind: int) -> None:
-    if kind == _KIND_INT:
-        words.append(to_u32(value))
-    elif kind == _KIND_FLOAT:
-        words.append(float_bits(value))
-    else:
-        _flatten_aggregate(words, value)
+def _key_words(values, kinds) -> tuple:
+    """The hash key of input ``values`` of the given kinds: one 32-bit
+    word per scalar, every element of an aggregate flattened in order."""
+    words: list[int] = []
+    for value, kind in zip(values, kinds):
+        if kind == _KIND_INT:
+            words.append(value & 0xFFFFFFFF)
+        elif kind == _KIND_FLOAT:
+            words.append(float_bits(value))
+        else:
+            _flatten_aggregate(words, value)
+    return tuple(words)
 
 
 def _flatten_aggregate(words: list[int], value) -> None:
@@ -55,6 +61,19 @@ def _flatten_aggregate(words: list[int], value) -> None:
         value = backing[offset:]
     if not isinstance(value, list):
         raise InterpError("aggregate key input is not an array")
+    # Whole-array fast paths, exactly the per-element conversions below:
+    # an array of signed 32-bit ints (or bools) reinterprets as unsigned
+    # in one struct round trip ('i' rejects floats, lists and anything
+    # out of range); an all-float array packs to single precision at once.
+    n = len(value)
+    try:
+        words.extend(struct.unpack(f"<{n}I", struct.pack(f"<{n}i", *value)))
+        return
+    except struct.error:
+        pass
+    if set(map(type, value)) == {float}:
+        words.extend(struct.unpack(f"<{n}I", struct.pack(f"<{n}f", *value)))
+        return
     for item in value:
         if isinstance(item, list):
             _flatten_aggregate(words, item)
@@ -90,23 +109,22 @@ def compile_builtin(name: str, args: list[ast.Expr], fc):
     if name == "__reuse_probe":
         seg = _segment_id(args, name)
         fc.record_site(seg, "probe_line")
-        builders = [
-            (fc.compile_expr(a), _value_kind(fc, a)) for a in args[1:]
-        ]
+        closures = [fc.compile_expr(a) for a in args[1:]]
+        kinds = [_value_kind(fc, a) for a in args[1:]]
 
-        def run_probe(fr, seg=seg, builders=builders, machine=machine, ctr=ctr):
+        def run_probe(
+            fr, seg=seg, closures=closures, kinds=kinds, machine=machine, ctr=ctr
+        ):
             table = machine.table_for(seg)
             # adaptive deactivation: a bypassed probe costs one flag test
             if getattr(table, "bypassed", False):
                 ctr[ALU] += 1
                 table.push_bypass()
                 return 0
-            words: list[int] = []
-            for closure, kind in builders:
-                _append_words(words, closure(fr), kind)
+            key = _key_words([closure(fr) for closure in closures], kinds)
             ctr[HASH_FIXED] += 1
-            ctr[HASH_WORD] += len(words)
-            return 1 if table.probe(tuple(words)) else 0
+            ctr[HASH_WORD] += len(key)
+            return 1 if table.probe(key) else 0
 
         cycle_profiler = machine.cycle_profiler
         if cycle_profiler is not None:
@@ -278,35 +296,24 @@ def compile_builtin(name: str, args: list[ast.Expr], fc):
     # -- profiling stubs (zero cost) -------------------------------------------
     if name == "__profile":
         seg = _segment_id(args, name)
-        builders = [
-            (fc.compile_expr(a), _value_kind(fc, a)) for a in args[1:]
-        ]
+        closures = [fc.compile_expr(a) for a in args[1:]]
+        kinds = [_value_kind(fc, a) for a in args[1:]]
+
         # Profiling stubs must not perturb the tally: snapshot-and-restore
         # the counters around argument evaluation.
-        def run_profile(fr, seg=seg, builders=builders, machine=machine, ctr=ctr):
+        def run_profile(
+            fr, seg=seg, closures=closures, kinds=kinds, machine=machine, ctr=ctr
+        ):
             profiler = machine.profiler
             if profiler is None:
                 return 0
             saved = list(ctr)
-            words: list[int] = []
-            for closure, kind in builders:
-                _append_words(words, closure(fr), kind)
+            values = [closure(fr) for closure in closures]
             ctr[:] = saved
-            profiler.record(seg, tuple(words))
+            profiler.record(seg, _key_words(values, kinds))
             return 0
 
         return run_profile
-
-    if name == "__freq":
-        seg = _segment_id(args, name)
-
-        def run_freq(fr, seg=seg, machine=machine):
-            profiler = machine.profiler
-            if profiler is not None:
-                profiler.count_entry(seg)
-            return 0
-
-        return run_freq
 
     if name == "__seg_enter":
         seg = _segment_id(args, name)

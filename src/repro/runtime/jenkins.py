@@ -8,31 +8,23 @@ of the key words.
 
 from __future__ import annotations
 
+import struct
 from typing import Iterable
 
 _U32 = 0xFFFFFFFF
+_u32 = _U32.__and__
 
 
 def jenkins_one_at_a_time(data: Iterable[int]) -> int:
     """Hash a byte iterable to an unsigned 32-bit value."""
+    # h += h << k is h *= 2**k + 1 modulo 2**32: one multiply per step
     h = 0
     for byte in data:
-        h = (h + (byte & 0xFF)) & _U32
-        h = (h + ((h << 10) & _U32)) & _U32
+        h = ((h + (byte & 0xFF)) * 1025) & _U32  # += byte; += h << 10
         h ^= h >> 6
-    h = (h + ((h << 3) & _U32)) & _U32
+    h = (h * 9) & _U32  # += h << 3
     h ^= h >> 11
-    h = (h + ((h << 15) & _U32)) & _U32
-    return h
-
-
-def _word_bytes(words: tuple) -> Iterable[int]:
-    for word in words:
-        w = word & _U32
-        yield w & 0xFF
-        yield (w >> 8) & 0xFF
-        yield (w >> 16) & 0xFF
-        yield (w >> 24) & 0xFF
+    return (h * 32769) & _U32  # += h << 15
 
 
 def hash_key_words(words: tuple) -> int:
@@ -40,8 +32,9 @@ def hash_key_words(words: tuple) -> int:
 
     A single-word key is used directly (the paper's simple case: "the
     hash key is simply the value of the input"); wider keys go through
-    Jenkins' function.
+    Jenkins' function over the words' little-endian bytes.
     """
-    if len(words) == 1:
+    n = len(words)
+    if n == 1:
         return words[0] & _U32
-    return jenkins_one_at_a_time(_word_bytes(words))
+    return jenkins_one_at_a_time(struct.pack(f"<{n}I", *map(_u32, words)))

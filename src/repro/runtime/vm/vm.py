@@ -38,9 +38,9 @@ from ...errors import InterpError
 from ..costs import ALU, HASH_FIXED, HASH_WORD, RET
 from ..intrinsics import (
     _KIND_AGGREGATE,
-    _append_words,
     _checked_sqrt,
     _count_words,
+    _key_words,
     _resolve_aggregate,
 )
 from ..values import (
@@ -82,14 +82,13 @@ def k_probe(machine, ctr, seg, vals, meta):
         ctr[ALU] += 1
         table.push_bypass()
         return 0
-    words: list[int] = []
-    for value, (kind, cls) in zip(vals, meta):
+    for _, cls in meta:
         if cls >= 0:  # cls -1: operand evaluated (and charged) eagerly
             ctr[cls] += 1
-        _append_words(words, value, kind)
+    key = _key_words(vals, [kind for kind, _ in meta])
     ctr[HASH_FIXED] += 1
-    ctr[HASH_WORD] += len(words)
-    return 1 if table.probe(tuple(words)) else 0
+    ctr[HASH_WORD] += len(key)
+    return 1 if table.probe(key) else 0
 
 
 def k_commit(machine, ctr, seg, vals, meta):
@@ -134,17 +133,7 @@ def k_profile(machine, seg, vals, kinds):
     profiler = machine.profiler
     if profiler is None:
         return 0
-    words: list[int] = []
-    for value, kind in zip(vals, kinds):
-        _append_words(words, value, kind)
-    profiler.record(seg, tuple(words))
-    return 0
-
-
-def k_freq(machine, seg):
-    profiler = machine.profiler
-    if profiler is not None:
-        profiler.count_entry(seg)
+    profiler.record(seg, _key_words(vals, kinds))
     return 0
 
 
@@ -410,8 +399,6 @@ def install_dispatch(vmfn: VMFunction, prog: "VMProgram") -> None:
             elif o == op.PROFILE:
                 if machine.profiler is not None:
                     k_profile(machine, ins[1], _fetch(machine, R, ins[3]), ins[2])
-            elif o == op.FREQ:
-                k_freq(machine, ins[1])
             elif o == op.SEGE:
                 k_seg_enter(machine, ins[1])
             elif o == op.SEGX:
@@ -487,7 +474,7 @@ _AGG_EXCLUDED = frozenset(
     (
         op.CALL, op.CALLI, op.RETV, op.RET0,
         op.PROBE, op.ROUT, op.ROUT_ARR, op.COMMIT, op.REND,
-        op.PROFILE, op.FREQ, op.SEGE, op.SEGX,
+        op.PROFILE, op.SEGE, op.SEGX,
         op.PROF_ENTER, op.PROF_EXIT, op.PROF_PB, op.PROF_PE,
         op.PROF_CB, op.PROF_SX, op.PROF_LINE, op.METER_FUNC, op.METER_PROBE,
         op.INPUT_I, op.INPUT_F, op.INPUT_AV, op.OUTPUT, op.PRINT,
@@ -1228,8 +1215,6 @@ class _Translator:
             self.flush()
             self.w("if _m.profiler is not None:")
             self.w(f"    _k_profile(_m, {ins[1]}, {self._vals(ins[3])}, {ins[2]!r})")
-        elif o == op.FREQ:
-            self.stmt(f"_k_freq(_m, {ins[1]})")
         elif o == op.SEGE:
             self.stmt(f"_k_seg_enter(_m, {ins[1]})")
         elif o == op.SEGX:
@@ -1290,7 +1275,6 @@ def install_translated(vmfn: VMFunction) -> tuple[dict, set[int], set[int]]:
         "_k_commit": k_commit,
         "_k_out_arr": k_out_arr,
         "_k_profile": k_profile,
-        "_k_freq": k_freq,
         "_k_seg_enter": k_seg_enter,
         "_k_seg_exit": k_seg_exit,
         "_k_probe_end": k_probe_end,

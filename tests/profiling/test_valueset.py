@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.profiling import LRU_SIZES, ValueSetProfiler, frequency_report, frequent_segments
-from repro.runtime import Machine
+from repro.profiling import LRU_SIZES, ValueSetProfiler
+from repro.runtime import LRUBuffer, Machine
 
 
-def make_profiler(mode="value", allowed=None):
+def make_profiler():
     machine = Machine("O0")
-    return machine, ValueSetProfiler(machine, mode=mode, allowed=allowed)
+    return machine, ValueSetProfiler(machine)
 
 
 class TestRecording:
@@ -39,25 +39,6 @@ class TestRecording:
         hist = p.profile(0).histogram()
         assert hist[0] == ((5,), 3)
 
-    def test_freq_mode_skips_values(self):
-        _, p = make_profiler(mode="freq")
-        p.record(0, (1,))
-        p.record(0, (1,))
-        assert p.profile(0).executions == 2
-        assert p.profile(0).distinct_inputs == 0
-
-    def test_allowed_filter(self):
-        _, p = make_profiler(allowed={1})
-        p.record(0, (5,))
-        p.record(1, (5,))
-        assert p.profile(0).executions == 0
-        assert p.profile(1).executions == 1
-
-    def test_invalid_mode_rejected(self):
-        machine = Machine("O0")
-        with pytest.raises(ValueError):
-            ValueSetProfiler(machine, mode="bogus")
-
 
 class TestLRUSimulation:
     def test_lru_sizes_tracked(self):
@@ -83,6 +64,34 @@ class TestLRUSimulation:
         ratios = [profile.lru_hit_ratio(s) for s in LRU_SIZES]
         assert ratios == sorted(ratios)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_lru_buffers(self, seed):
+        # the lazy stack-distance replay must give exactly the hit ratios
+        # of the four LRU buffers fed the same keys one by one
+        import random
+
+        rng = random.Random(seed)
+        keys = [(rng.randrange(1 + 30 * seed),) for _ in range(800)]
+        buffers = {size: LRUBuffer(size) for size in LRU_SIZES}
+        _, p = make_profiler()
+        for key in keys:
+            p.record(0, key)
+            for buffer in buffers.values():
+                buffer.access(key)
+        for size in LRU_SIZES:
+            assert p.profile(0).lru_hit_ratio(size) == buffers[size].hit_ratio
+
+    def test_ratios_follow_later_records(self):
+        _, p = make_profiler()
+        p.record(0, (1,))
+        assert p.profile(0).lru_hit_ratio(1) == 0.0
+        p.record(0, (1,))
+        assert p.profile(0).lru_hit_ratio(1) == 0.5
+
+    def test_never_executed_ratio_is_zero(self):
+        _, p = make_profiler()
+        assert p.profile(3).lru_hit_ratio(64) == 0.0
+
 
 class TestSegmentTiming:
     def test_inclusive_cycles(self):
@@ -105,20 +114,3 @@ class TestSegmentTiming:
         p.segment_exit(0)
         assert p.profile(0).inclusive_cycles == 150
 
-
-class TestFrequencyHelpers:
-    def test_frequent_segments(self):
-        _, p = make_profiler(mode="freq")
-        for _ in range(10):
-            p.count_entry(1)
-        p.count_entry(2)
-        assert frequent_segments(p, 5) == {1}
-        assert frequent_segments(p, 1) == {1, 2}
-
-    def test_frequency_report_sorted(self):
-        _, p = make_profiler(mode="freq")
-        for _ in range(3):
-            p.count_entry(1)
-        for _ in range(7):
-            p.count_entry(2)
-        assert frequency_report(p) == [(2, 7), (1, 3)]

@@ -9,9 +9,13 @@ three properties that make that sound:
 * every thread's outputs are bit-identical to a sequential oracle —
   concurrent table warming never changes a value or a checksum;
 * the session's metrics registry reconciles: run/input counters add up
-  across threads.
+  across threads;
+* a thread's in-flight probe is its own: with the interpreter switching
+  threads every half millisecond, shared static, governed and merged
+  tables on both backends still give the sequential outputs.
 """
 
+import sys
 import threading
 
 import pytest
@@ -139,3 +143,37 @@ def test_concurrent_session_compile_memoizes_one_program():
         for thread in threads:
             thread.join(timeout=60)
         assert all(program is programs[0] for program in programs)
+
+
+@pytest.mark.parametrize("backend", ["closures", "vm"])
+@pytest.mark.parametrize("governed", [False, True], ids=["static", "governed"])
+@pytest.mark.parametrize(
+    "name, chunk, profile_prefix",
+    [("G721_encode", 64, 256), ("GNUGO", 64, 2048)],  # GNUGO: a merged table
+)
+def test_shared_tables_under_frequent_thread_switches(
+    name, chunk, profile_prefix, backend, governed
+):
+    workload, chunks = _chunks(name, THREADS, chunk)
+    options = api.CompileOptions(governed=governed, backend=backend)
+    with api.Session(options) as session:
+        program = session.compile(workload.source)
+        program.profile(workload.default_inputs()[:profile_prefix])
+        assert program.result.selected
+        sequential = [
+            (run.value, run.output_checksum)
+            for run in (session.run_program(program, chunk) for chunk in chunks)
+        ]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(5e-4)
+    try:
+        with api.Session(options) as session:
+            program = session.compile(workload.source)
+            program.profile(workload.default_inputs()[:profile_prefix])
+            if name == "GNUGO":
+                assert program.result.merged
+            results = _run_concurrently(session, program, chunks)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [(run.value, run.output_checksum) for run in results] == sequential
